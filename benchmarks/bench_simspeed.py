@@ -8,10 +8,18 @@ importantly — proves it is *free* in model terms:
 
 * **speedup** — wall-clock time of ``--executes`` repeated executes on
   a cache-off system vs. an identically-built cache-on system (the
-  cache-on loop includes its one cold miss);
+  cache-on loop includes its one cold miss). The cache-off baseline
+  re-simulates the memory system on every call: the process-wide
+  stream-pricing memo of ``simulate_streams`` is cleared before each
+  of its executes, and before the cache-on loop starts;
+* **memo_wall_s** — the same cache-off loop on a third system with the
+  stream memo left warm (reported, not gated): what cache-off executes
+  cost once every stream set has been priced;
 * **parity** — every per-call :class:`ExecResult` and the final ledger
-  category totals must be bit-identical between the two systems; the
-  bench *asserts* this before it reports any number;
+  category totals must be bit-identical between the cache-off and
+  cache-on systems, and the warm-memo loop's per-call results must
+  equal the cache-off ones; the bench *asserts* this before it reports
+  any number;
 * **hit rate** — from the cache's own counters (``executes - 1`` hits
   out of ``executes`` lookups when nothing invalidates).
 
@@ -27,8 +35,9 @@ import time
 
 from repro.core import MealibSystem, ParamStore
 from repro.eval.workloads import TABLE2
+from repro.memsys.trace import simulate_streams
 
-SCHEMA = "simspeed/v1"
+SCHEMA = "simspeed/v2"
 
 #: Repeated-call loop length; at hundreds of calls the cold decode +
 #: memory-system simulation amortizes to nothing and the speedup is
@@ -51,21 +60,30 @@ def build_plan(system, op, scale):
         out_size=sum(s.total_bytes for s in streams if s.is_write))
 
 
-def time_loop(system, plan, executes):
-    """Wall time plus the per-call results of ``executes`` executes."""
+def time_loop(system, plan, executes, clear_memo=False):
+    """Wall time plus the per-call results of ``executes`` executes
+    (with ``clear_memo``, each one starts from an empty stream memo)."""
     results = []
     t0 = time.perf_counter()
     for _ in range(executes):
+        if clear_memo:
+            simulate_streams.cache_clear()
         results.append(system.runtime.acc_execute(plan, functional=False))
     return time.perf_counter() - t0, results
 
 
 def run_op(op, scale, executes):
     cold_sys = MealibSystem(stack_bytes=64 << 20)
+    memo_sys = MealibSystem(stack_bytes=64 << 20)
     hot_sys = MealibSystem(stack_bytes=64 << 20, schedule_cache=True)
     cold_plan = build_plan(cold_sys, op, scale)
+    memo_plan = build_plan(memo_sys, op, scale)
     hot_plan = build_plan(hot_sys, op, scale)
-    cold_wall, cold_results = time_loop(cold_sys, cold_plan, executes)
+    cold_wall, cold_results = time_loop(cold_sys, cold_plan, executes,
+                                        clear_memo=True)
+    # the cold loop's last execute left this op's streams in the memo
+    memo_wall, memo_results = time_loop(memo_sys, memo_plan, executes)
+    simulate_streams.cache_clear()
     hot_wall, hot_results = time_loop(hot_sys, hot_plan, executes)
 
     # parity gate: cached replay must be bit-identical, per call and in
@@ -73,6 +91,9 @@ def run_op(op, scale, executes):
     for i, (a, b) in enumerate(zip(cold_results, hot_results)):
         assert a.time == b.time and a.energy == b.energy, (
             f"{op}: call {i} diverged under the schedule cache")
+    for i, (a, b) in enumerate(zip(cold_results, memo_results)):
+        assert a.time == b.time and a.energy == b.energy, (
+            f"{op}: call {i} diverged under the stream memo")
     for category in ("invocation", "accelerator", "fault", "retry",
                      "reroute", "fallback"):
         assert (cold_sys.ledger.total(category)
@@ -85,6 +106,7 @@ def run_op(op, scale, executes):
     return {
         "cold_wall_s": cold_wall,
         "cached_wall_s": hot_wall,
+        "memo_wall_s": memo_wall,
         "speedup": cold_wall / hot_wall,
         "hits": stats.hits,
         "misses": stats.misses,

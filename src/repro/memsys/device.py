@@ -9,7 +9,7 @@ from the per-bank event counters plus static power over the drain time.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from repro.memsys.bank import BankStats
 from repro.memsys.energy import DramEnergy
 from repro.memsys.result import MemResult
 from repro.memsys.timing import DramTiming
-from repro.memsys.vault import VaultController
+from repro.memsys.vault import VaultController, VaultResult
 
 #: A device-level request: (physical address, is_write).
 Request = Tuple[int, bool]
@@ -85,8 +85,11 @@ class MemoryDevice:
 
         The batch decompose and per-unit split are vectorized (boolean
         masks preserve the trace order within each unit); each unit's
-        drain then runs the controller's array fast path. Results are
-        element-for-element identical to the scalar walk
+        drain then runs the controller's array fast path. A drain from
+        fresh controller state is a pure function of its columns, so
+        units handed identical (bank, row, is_write) columns — as a
+        sequential stream gives every vault — share one drain. Results
+        are element-for-element identical to the scalar walk
         (``tests/memsys/test_vectorized_diff.py``).
         """
         count = int(addrs.size)
@@ -94,15 +97,20 @@ class MemoryDevice:
         stats = BankStats()
         if count:
             units, banks, rows, _ = self.mapping.decompose_batch(addrs)
+            drained: Dict[Tuple[bytes, ...], VaultResult] = {}
             for unit in range(self.units):
                 mask = units == unit
                 if not mask.any():
                     continue
-                controller = VaultController(self.timing,
-                                             self.reorder_window)
-                result = controller.service_arrays(
-                    banks[mask].tolist(), rows[mask].tolist(),
-                    writes[mask].tolist())
+                columns = (banks[mask], rows[mask], writes[mask])
+                key = tuple(c.tobytes() for c in columns)
+                result = drained.get(key)
+                if result is None:
+                    controller = VaultController(self.timing,
+                                                 self.reorder_window)
+                    result = controller.service_arrays(
+                        *(c.tolist() for c in columns))
+                    drained[key] = result
                 finish = max(finish, result.finish_time)
                 stats.merge(result.stats)
         bytes_moved = count * self.request_bytes

@@ -12,8 +12,9 @@ bank-conflict behaviour that determines achieved bandwidth (validated by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass, replace
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,10 @@ DEFAULT_WINDOW_ELEMS = 65536
 #: Elements issued per stream before rotating to the next stream. Models
 #: the depth of per-stream buffers in the access generators.
 GANG_ELEMS = 64
+
+#: Entries the stream-pricing memo keeps; past this the least recently
+#: used entry is evicted.
+STREAM_MEMO_ENTRIES = 4096
 
 
 def _lcg(state: int) -> int:
@@ -229,6 +234,59 @@ def merge_streams(streams: Sequence[StreamSpec], n_samples: Sequence[int],
     return [(int(a), bool(w)) for a, w in zip(addrs, writes)]
 
 
+class MemoInfo(NamedTuple):
+    """Counters of the stream-pricing memo (as ``lru_cache`` reports)."""
+
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _StreamMemo:
+    """Bounded LRU from a drain's value key to its priced result.
+
+    Stored results never leave the memo: every lookup hands out a copy.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.entries: "OrderedDict[tuple, MemResult]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def lookup(self, key: tuple) -> Optional[MemResult]:
+        result = self.entries.get(key)
+        if result is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        self.entries.move_to_end(key)
+        return _copy_result(result)
+
+    def store(self, key: tuple, result: MemResult) -> MemResult:
+        self.entries[key] = result
+        if len(self.entries) > self.maxsize:
+            self.entries.popitem(last=False)
+        return _copy_result(result)
+
+    def cache_info(self) -> MemoInfo:
+        return MemoInfo(self.hits, self.misses, self.maxsize,
+                        len(self.entries))
+
+    def cache_clear(self) -> None:
+        self.entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+
+def _copy_result(result: MemResult) -> MemResult:
+    return replace(result, stats=replace(result.stats))
+
+
+_MEMO = _StreamMemo(STREAM_MEMO_ENTRIES)
+
+
 def simulate_streams(device: MemoryDevice, streams: Sequence[StreamSpec],
                      window_elems: int = DEFAULT_WINDOW_ELEMS) -> MemResult:
     """Drain ``streams`` on ``device``, sampling a window and extrapolating.
@@ -236,10 +294,23 @@ def simulate_streams(device: MemoryDevice, streams: Sequence[StreamSpec],
     All streams are shortened by the *same* fraction so their mixing ratio
     (and therefore bank-conflict behaviour) is preserved, then the result
     is scaled back up linearly.
+
+    The drain is a pure function of the device's configuration, the
+    streams and the window (every drain starts from fresh controllers),
+    so results are memoized process-wide on exactly those values and
+    need no invalidation. Each call returns its own :class:`MemResult`.
+    ``simulate_streams.cache_info()`` and ``simulate_streams.cache_clear()``
+    report on and empty the memo.
     """
-    streams = [s for s in streams if s.n_elems > 0]
+    streams = tuple(s for s in streams if s.n_elems > 0)
     if not streams:
         return MemResult(time=0.0, energy=0.0, bytes_moved=0)
+    key = (type(device), device.timing, device.energy, device.units,
+           device.reorder_window, device.mapping, device.ecc, streams,
+           window_elems)
+    hit = _MEMO.lookup(key)
+    if hit is not None:
+        return hit
     total_elems = sum(s.n_elems for s in streams)
     fraction = min(1.0, window_elems / total_elems)
     n_samples = [max(1, int(round(s.n_elems * fraction))) for s in streams]
@@ -248,4 +319,8 @@ def simulate_streams(device: MemoryDevice, streams: Sequence[StreamSpec],
     window_result = device.run_trace_arrays(addrs, writes)
     sampled_elems = sum(n_samples)
     scale = total_elems / sampled_elems
-    return window_result.scaled(scale)
+    return _MEMO.store(key, window_result.scaled(scale))
+
+
+simulate_streams.cache_info = _MEMO.cache_info  # type: ignore[attr-defined]
+simulate_streams.cache_clear = _MEMO.cache_clear  # type: ignore[attr-defined]

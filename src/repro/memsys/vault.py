@@ -7,7 +7,8 @@ the scheduling policy real vault controllers (and the paper's in-house
 simulator) use to recover row-buffer locality from interleaved streams.
 
 The drain loop here is the flattened twin of :meth:`Bank.access`: bank
-state lives in local lists and the per-access arithmetic is inlined, so
+state lives in local lists, the request columns arrive as lists of Python
+ints and bools, and the per-access arithmetic is inlined, so
 a 64K-request window drains without any per-request attribute or method
 dispatch. Every float operation happens in exactly the order (and with
 exactly the operands) of the reference bank FSM — the timing recurrence
@@ -23,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.memsys.bank import Bank, BankStats
 from repro.memsys.timing import DramTiming
 
@@ -36,6 +39,14 @@ class VaultResult:
 
     finish_time: float
     stats: BankStats
+
+
+def _as_list(column) -> list:
+    """A private list copy of one column; an ndarray goes through
+    ``tolist()`` so its elements become Python scalars."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return list(column)
 
 
 class VaultController:
@@ -66,10 +77,13 @@ class VaultController:
                        start: float = 0.0) -> VaultResult:
         """:meth:`service` over parallel (bank, row, is_write) columns.
 
-        The fast path for array-fed traces; accepts lists or numpy
-        arrays. State is loaded from (and stored back to) the reference
-        :class:`Bank` objects, so interleaving ``service`` and
-        ``service_arrays`` calls on one controller is safe.
+        The fast path for array-fed traces. It takes lists of Python
+        ints and bools, as ``ndarray.tolist()`` makes them, and copies
+        them (the drain reorders its pending columns in place); a numpy
+        array column is converted with ``tolist()`` instead. State is
+        loaded from (and stored back to) the reference :class:`Bank`
+        objects, so interleaving ``service`` and ``service_arrays``
+        calls on one controller is safe.
         """
         (t_rcd, t_cas, t_rp, t_ras, t_wr, t_ccd,
          t_burst) = self.timing.drain_constants
@@ -82,9 +96,9 @@ class VaultController:
         n_miss = [0] * len(bank_objs)
         n_reads = [0] * len(bank_objs)
         n_writes = [0] * len(bank_objs)
-        pending_b = [int(b) for b in req_banks]
-        pending_r = [int(r) for r in req_rows]
-        pending_w = [bool(w) for w in req_writes]
+        pending_b = _as_list(req_banks)
+        pending_r = _as_list(req_rows)
+        pending_w = _as_list(req_writes)
         bus = self._bus_free_at
         now = start if start > bus else bus
         finish = now

@@ -93,36 +93,44 @@ def random_geometric_graph(n: int, radius: float = None,
     Points are uniform in the unit square; an edge joins points closer
     than ``radius`` (default chosen to give the connectivity regime of
     the UF ``rgg`` matrices, ~15 neighbours per vertex). Neighbour
-    search is cell-binned so generation is near-linear in ``n``.
+    search is cell-binned so generation is near-linear in ``n``: with
+    the points sorted by cell, the candidates of each point are the runs
+    of that order lying in its 3x3 block of cells.
     """
     rng = np.random.default_rng(seed)
     if radius is None:
         radius = np.sqrt(15.0 / (np.pi * n))
     pts = rng.random((n, 2))
-    cell = radius
-    grid = {}
-    cells = np.floor(pts / cell).astype(np.int64)
-    for i, (cx, cy) in enumerate(cells):
-        grid.setdefault((cx, cy), []).append(i)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    cols_per_row = []
+    cells = np.floor(pts / radius).astype(np.int64)
+    # one integer id per cell; the spare columns keep the dy = -1/+1
+    # neighbours of the edge columns from aliasing into the next row
+    width = int(cells[:, 1].max()) + 3 if n else 3
+    cell_id = (cells[:, 0] + 1) * width + cells[:, 1] + 1
+    order = np.argsort(cell_id)
+    sorted_ids = cell_id[order]
+    xs, ys = pts[:, 0], pts[:, 1]
     r2 = radius * radius
-    for i in range(n):
-        cx, cy = cells[i]
-        neigh = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neigh.extend(grid.get((cx + dx, cy + dy), ()))
-        cand = np.array([j for j in neigh if j != i], dtype=np.int64)
-        if len(cand):
-            d2 = np.sum((pts[cand] - pts[i]) ** 2, axis=1)
-            hit = np.sort(cand[d2 < r2])
-        else:
-            hit = cand
-        cols_per_row.append(hit)
-        indptr[i + 1] = indptr[i] + len(hit)
-    indices = (np.concatenate(cols_per_row) if n
-               else np.zeros(0, dtype=np.int64))
+    edges = []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            target = sorted_ids + (dx * width + dy)
+            lo = np.searchsorted(sorted_ids, target, side="left")
+            counts = np.searchsorted(sorted_ids, target, side="right") - lo
+            i = np.repeat(order, counts)
+            starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+            j = order[starts + np.arange(starts.size)]
+            # the same float operations as the reference's
+            # np.sum((pts[j] - pts[i]) ** 2, axis=1)
+            ex = xs[j] - xs[i]
+            ey = ys[j] - ys[i]
+            hit = (ex * ex + ey * ey < r2) & (i != j)
+            edges.append(i[hit] * n + j[hit])
+    # each (row, col) pair occurs once, so sorting row * n + col orders
+    # the rows and the columns within each row
+    pairs = np.sort(np.concatenate(edges))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+    indices = pairs % n
     data = rng.random(len(indices)).astype(np.float32)
     return CsrMatrix(indptr=indptr, indices=indices, data=data,
                      shape=(n, n))

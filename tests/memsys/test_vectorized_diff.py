@@ -301,3 +301,59 @@ def test_device_run_trace_empty():
     got = device.run_trace([])
     assert got.time == 0.0 and got.energy == 0.0
     assert got.bytes_moved == 0
+
+
+def unit_columns(device, addrs, writes):
+    """Each unit's (banks, rows, writes) column bytes, as the device
+    splits the trace."""
+    units, banks, rows, _ = device.mapping.decompose_batch(addrs)
+    return [tuple(c[units == u].tobytes() for c in (banks, rows, writes))
+            for u in range(device.units)]
+
+
+def assert_arrays_match_reference(device, addrs, writes):
+    got = device.run_trace_arrays(addrs, writes)
+    finish, energy, bytes_moved, stats = reference_run_trace(
+        device, list(zip(addrs.tolist(), writes.tolist())))
+    assert got.time == finish
+    assert got.energy == energy
+    assert got.bytes_moved == bytes_moved
+    assert got.stats == stats
+
+
+def sequential_sweep(device, n_groups):
+    """Burst addresses of a dense sweep over ``n_groups`` groups of one
+    interleave block on every unit; each group gives every unit the same
+    (bank, row) pair for each burst."""
+    group = device.units * 256
+    return np.arange(0, n_groups * group, 32, dtype=np.int64)
+
+
+def test_run_trace_arrays_identical_unit_columns():
+    """Every unit gets the same columns: the units share one drain and
+    must still match the per-unit reference."""
+    device = MemoryDevice(HMC_VAULT, HMC_ENERGY, units=8,
+                          interleave_bytes=256)
+    rng = np.random.default_rng(RNG_SEED + 8)
+    addrs = sequential_sweep(device, 96)
+    # one read/write flag per group, so every unit sees the same flags
+    writes = np.repeat(rng.integers(2, size=96).astype(bool),
+                       addrs.size // 96)
+    columns = unit_columns(device, addrs, writes)
+    assert len(set(columns)) == 1 and columns[0][0]
+    assert_arrays_match_reference(device, addrs, writes)
+
+
+def test_run_trace_arrays_distinct_unit_columns():
+    """Every unit gets different columns, differing only in the write
+    flags (same banks and rows), so no unit may reuse another's drain."""
+    device = MemoryDevice(HMC_VAULT, HMC_ENERGY, units=8,
+                          interleave_bytes=256)
+    rng = np.random.default_rng(RNG_SEED + 9)
+    addrs = sequential_sweep(device, 96)
+    writes = np.repeat(rng.integers(2, size=addrs.size // 8).astype(bool),
+                       8)
+    columns = unit_columns(device, addrs, writes)
+    assert len(set(columns)) == device.units
+    assert len({c[:2] for c in columns}) == 1
+    assert_arrays_match_reference(device, addrs, writes)

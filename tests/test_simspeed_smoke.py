@@ -23,8 +23,9 @@ import bench_simspeed as simspeed  # noqa: E402
 EXECUTES = 24
 
 OP_KEYS = {
-    "cold_wall_s", "cached_wall_s", "speedup", "hits", "misses",
-    "hit_rate", "cached_executes", "model_time_s", "model_energy_j",
+    "cold_wall_s", "cached_wall_s", "memo_wall_s", "speedup", "hits",
+    "misses", "hit_rate", "cached_executes", "model_time_s",
+    "model_energy_j",
 }
 
 
