@@ -118,7 +118,8 @@ class AcceleratorLayer:
                 best = group
         return best
 
-    def reroute_map(self) -> Dict[int, Optional[int]]:
+    def reroute_map(self, serving: Optional[List[int]] = None
+                    ) -> Dict[int, Optional[int]]:
         """Serving tile for every vault whose own tile cannot serve it.
 
         Maps each degraded vault (dead tile, or healthy tile isolated
@@ -132,8 +133,11 @@ class AcceleratorLayer:
         baselines. ``None`` marks a vault no serving tile can reach;
         one such vault forces the whole descriptor to the host, since
         vault interleaving spreads every operand over every vault.
+        ``serving`` is :meth:`serving_tiles` when the caller already
+        has it.
         """
-        serving = self.serving_tiles()
+        if serving is None:
+            serving = self.serving_tiles()
         serving_set = set(serving)
         thermal = self.thermal
         out: Dict[int, Optional[int]] = {}

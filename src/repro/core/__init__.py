@@ -14,8 +14,7 @@ from repro.core.descriptor import (CMD_IDLE, CMD_START, DescriptorError,
 from repro.core.invocation import InvocationModel
 from repro.core.runtime import (AccPlan, Ledger, LedgerEntry,
                                 MealibRuntime, MealibRuntimeError,
-                                ResilienceCounters, ResiliencePolicy,
-                                RuntimeError_)
+                                ResilienceCounters, ResiliencePolicy)
 from repro.core.schedule_cache import (ScheduleCache, ScheduleCacheStats,
                                        ScheduleEntry)
 from repro.core.system import MealibSystem
@@ -31,7 +30,7 @@ __all__ = [
     "decode_instructions", "descriptor_checksum", "encode", "set_command",
     "verify_integrity", "InvocationModel", "AccPlan", "Ledger",
     "LedgerEntry", "MealibRuntime", "MealibRuntimeError",
-    "ResilienceCounters", "ResiliencePolicy", "RuntimeError_",
+    "ResilienceCounters", "ResiliencePolicy",
     "ScheduleCache", "ScheduleCacheStats", "ScheduleEntry",
     "MealibSystem", "Comp", "Loop", "ParamStore", "Pass", "TdlError",
     "TdlProgram", "format_tdl", "parse_tdl",

@@ -600,15 +600,15 @@ class ConfigurationUnit:
             raise TileFailedError(
                 f"tiles on vaults {self.layer.failed_tiles()} are all "
                 "failed; no tile can serve the descriptor")
-        reroutes = self.layer.reroute_map()
+        if len(serving) == len(self.layer.tiles):
+            return serving, None            # every vault serves itself
+        reroutes = self.layer.reroute_map(serving)
         unreachable = sorted(v for v, s in reroutes.items() if s is None)
         if unreachable:
             raise TileFailedError(
                 f"no serving tile can reach vaults {unreachable} over "
                 f"the degraded mesh (failed links: "
                 f"{sorted(self.noc.failed_links)})")
-        if len(serving) == len(self.layer.tiles):
-            return serving, None
         return serving, Degradation(
             serving=tuple(serving),
             reroutes={v: s for v, s in reroutes.items()})

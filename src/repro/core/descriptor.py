@@ -19,13 +19,13 @@ the configuration unit's fetch/decode units do when START is observed.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.tdl import (Comp, Loop, ParamStore, Pass, TdlError,
-                            TdlProgram)
+from repro.core.tdl import Loop, ParamStore, Pass, TdlProgram
 
 MAGIC = 0x4D45414C            # 'MEAL'
 
@@ -52,6 +52,10 @@ CHECKSUM_OFFSET = 12
 OPCODES = {"AXPY": 1, "DOT": 2, "GEMV": 3, "SPMV": 4, "RESMP": 5,
            "FFT": 6, "RESHP": 7}
 OPCODE_NAMES = {v: k for k, v in OPCODES.items()}
+
+#: Distinct (program, parameter bytes, base address) lowerings the
+#: encode memo keeps; past this the least recently used is evicted.
+ENCODE_MEMO_ENTRIES = 1024
 
 
 class DescriptorError(Exception):
@@ -95,34 +99,38 @@ class EncodedDescriptor:
         return len(self.data)
 
 
-def _lower(program: TdlProgram, params: ParamStore,
-           pr_base: int) -> Tuple[List[Instruction], bytes]:
-    instructions: List[Instruction] = []
-    pr = bytearray()
-
-    def lower_pass(p: Pass) -> None:
-        for comp in p.comps:
-            if comp.accel not in OPCODES:
-                raise DescriptorError(
-                    f"no opcode for accelerator {comp.accel!r}")
-            blob = params.get(comp.param_file)
-            addr = pr_base + len(pr)
-            pr.extend(blob)
-            instructions.append(Instruction(
-                kind=KIND_ACCEL, opcode=OPCODES[comp.accel],
-                param_size=len(blob), param_addr=addr))
-        instructions.append(Instruction(kind=KIND_ENDPASS))
-
+def _instruction_count(program: TdlProgram,
+                       blobs: Tuple[bytes, ...]) -> int:
+    n_ctrl = 0
     for block in program.blocks:
         if isinstance(block, Loop):
-            instructions.append(Instruction(kind=KIND_LOOP,
-                                            param_size=block.count))
-            for p in block.body:
-                lower_pass(p)
-            instructions.append(Instruction(kind=KIND_ENDLOOP))
+            n_ctrl += 2 + len(block.body)       # LOOP, ENDLOOP, ENDPASSes
         else:
-            lower_pass(block)
-    return instructions, bytes(pr)
+            n_ctrl += 1                          # ENDPASS
+    return len(blobs) + n_ctrl                   # one ACCEL per COMP
+
+
+def param_blobs(program: TdlProgram,
+                params: ParamStore) -> Tuple[bytes, ...]:
+    """The parameter bytes the program's COMPs reference, in order.
+
+    Validates each COMP as lowering meets it: an accelerator with no
+    opcode raises :class:`DescriptorError`, a missing parameter file
+    :class:`~repro.core.tdl.TdlError`.
+    """
+    blobs = []
+    for comp in program.comps():
+        if comp.accel not in OPCODES:
+            raise DescriptorError(
+                f"no opcode for accelerator {comp.accel!r}")
+        blobs.append(bytes(params.get(comp.param_file)))
+    return tuple(blobs)
+
+
+def descriptor_size(program: TdlProgram, blobs: Tuple[bytes, ...]) -> int:
+    """Bytes of the descriptor ``encode_blobs`` builds (at any base)."""
+    return (CR_BYTES + _instruction_count(program, blobs) * INSTR_BYTES
+            + sum(len(b) for b in blobs))
 
 
 def encode(program: TdlProgram, params: ParamStore,
@@ -132,24 +140,48 @@ def encode(program: TdlProgram, params: ParamStore,
     The PR follows the IR immediately; parameter addresses inside the IR
     are absolute physical addresses, as the hardware expects.
     """
+    return encode_blobs(program, param_blobs(program, params), base_pa)
+
+
+@functools.lru_cache(maxsize=ENCODE_MEMO_ENTRIES)
+def encode_blobs(program: TdlProgram, blobs: Tuple[bytes, ...],
+                 base_pa: int) -> EncodedDescriptor:
+    """Lower a program whose COMPs take ``blobs`` (see
+    :func:`param_blobs`) into descriptor bytes at ``base_pa``.
+
+    The descriptor is a pure function of exactly these three values and
+    is immutable, so lowerings are memoized process-wide on them and a
+    hit returns the stored descriptor. ``encode_blobs.cache_info()``
+    and ``encode_blobs.cache_clear()`` report on and empty the memo.
+    """
+    n_comps = len(program.comps())
+    if len(blobs) != n_comps:
+        raise DescriptorError(
+            f"{n_comps} COMPs but {len(blobs)} parameter blobs")
     # two-phase: sizes first (parameter addresses depend on IR length)
-    n_accel = len([c for c in program.comps()])
-    n_ctrl = 0
+    n_instr = _instruction_count(program, blobs)
+    pr_offset = CR_BYTES + n_instr * INSTR_BYTES
+    pr_base = base_pa + pr_offset
+    out = bytearray(_CR.pack(MAGIC, CMD_IDLE, n_instr, 0))
+    pr = bytearray()
+    blob_iter = iter(blobs)
+
+    def lower_pass(p: Pass) -> None:
+        for comp in p.comps:
+            blob = next(blob_iter)
+            out.extend(_INSTR.pack(OPCODES[comp.accel], KIND_ACCEL, 0,
+                                   len(blob), pr_base + len(pr)))
+            pr.extend(blob)
+        out.extend(_INSTR.pack(0, KIND_ENDPASS, 0, 0, 0))
+
     for block in program.blocks:
         if isinstance(block, Loop):
-            n_ctrl += 2 + len(block.body)       # LOOP, ENDLOOP, ENDPASSes
+            out.extend(_INSTR.pack(0, KIND_LOOP, 0, block.count, 0))
+            for p in block.body:
+                lower_pass(p)
+            out.extend(_INSTR.pack(0, KIND_ENDLOOP, 0, 0, 0))
         else:
-            n_ctrl += 1                          # ENDPASS
-    n_instr = n_accel + n_ctrl
-    pr_offset = CR_BYTES + n_instr * INSTR_BYTES
-    instructions, pr = _lower(program, params, base_pa + pr_offset)
-    if len(instructions) != n_instr:
-        raise DescriptorError("instruction count mismatch during lowering")
-    out = bytearray()
-    out.extend(_CR.pack(MAGIC, CMD_IDLE, n_instr, 0))
-    for instr in instructions:
-        out.extend(_INSTR.pack(instr.opcode, instr.kind, 0,
-                               instr.param_size, instr.param_addr))
+            lower_pass(block)
     out.extend(pr)
     struct.pack_into("<I", out, CHECKSUM_OFFSET, descriptor_checksum(out))
     return EncodedDescriptor(data=bytes(out), base_pa=base_pa,

@@ -44,10 +44,10 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
 
 from repro.accel.tile import TileFailedError
 from repro.core.config_unit import ConfigurationUnit
-from repro.core.descriptor import (CMD_IDLE, CMD_START,
-                                   DescriptorError,
+from repro.core.descriptor import (CMD_START, DescriptorError,
                                    DescriptorIntegrityError,
-                                   EncodedDescriptor, encode, set_command)
+                                   EncodedDescriptor, descriptor_size,
+                                   encode_blobs, param_blobs, set_command)
 from repro.core.invocation import InvocationModel
 from repro.core.tdl import ParamStore, TdlProgram, parse_tdl
 from repro.faults.datapath import DatapathEcc
@@ -66,10 +66,6 @@ if TYPE_CHECKING:
 class MealibRuntimeError(Exception):
     """Raised on invalid runtime usage (destroyed plans, bad sizes) and
     on unrecoverable execution failures when host fallback is off."""
-
-
-#: Deprecated alias for :class:`MealibRuntimeError` (pre-1.1 name).
-RuntimeError_ = MealibRuntimeError
 
 
 @dataclass(frozen=True)
@@ -135,13 +131,25 @@ class ResilienceCounters:
 
 @dataclass
 class AccPlan:
-    """The ``acc_plan`` handle: a lowered descriptor plus bookkeeping."""
+    """The ``acc_plan`` handle: a lowered descriptor plus bookkeeping.
+
+    ``start_image`` and ``idle_image`` are the golden descriptor with
+    START / IDLE in its command word — what every delivery writes.
+    """
 
     program: TdlProgram
     descriptor: EncodedDescriptor
     working_set_bytes: int
     destroyed: bool = False
     executions: int = 0
+    start_image: bytes = field(init=False, repr=False)
+    idle_image: bytes = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        start = bytearray(self.descriptor.data)
+        set_command(start, CMD_START)
+        self.start_image = bytes(start)
+        self.idle_image = self.descriptor.data    # encoded with IDLE
 
 
 @dataclass
@@ -273,11 +281,13 @@ class MealibRuntime:
         if in_size < 0 or out_size < 0:
             raise MealibRuntimeError("buffer sizes must be non-negative")
         program = parse_tdl(tdl) if isinstance(tdl, str) else tdl
-        # two-step: encode once to learn the size, then place it
-        probe = encode(program, params, base_pa=0)
-        slot = self._command_alloc.alloc(probe.size, align=64)
+        # validate and size before taking a slot: the size does not
+        # depend on where the descriptor lands
+        blobs = param_blobs(program, params)
+        slot = self._command_alloc.alloc(descriptor_size(program, blobs),
+                                         align=64)
         try:
-            descriptor = encode(program, params, base_pa=slot)
+            descriptor = encode_blobs(program, blobs, slot)
             self.space.pa_write(slot, descriptor.data)
         except Exception:
             # don't leak the command-space slot on a failed lowering
@@ -341,13 +351,13 @@ class MealibRuntime:
         while True:
             # (re-)deliver the golden descriptor image and ring START:
             # this is also what repairs in-DRAM descriptor corruption
-            self._write_descriptor(plan, CMD_START)
+            self._write_descriptor(plan, plan.start_image)
             try:
                 execution = self.cu.run_descriptor(
                     plan.descriptor.base_pa, plan.descriptor.size,
                     functional=functional, concurrency=concurrency)
             except TileFailedError as exc:
-                self._write_descriptor(plan, CMD_IDLE)
+                self._write_descriptor(plan, plan.idle_image)
                 total = total.plus(self._drain_correction_costs())
                 total = total.plus(self._account_fault(exc))
                 fallback = self._degrade_to_host(plan, functional, exc)
@@ -355,7 +365,7 @@ class MealibRuntime:
                 return total.plus(fallback)
             except (DescriptorError, UncorrectableEccError,
                     CuHangError) as exc:
-                self._write_descriptor(plan, CMD_IDLE)
+                self._write_descriptor(plan, plan.idle_image)
                 total = total.plus(self._drain_correction_costs())
                 total = total.plus(self._account_fault(exc))
                 if attempt >= self.policy.max_retries:
@@ -365,7 +375,7 @@ class MealibRuntime:
                 attempt += 1
                 total = total.plus(self._account_retry(plan, attempt))
             else:
-                self._write_descriptor(plan, CMD_IDLE)
+                self._write_descriptor(plan, plan.idle_image)
                 total = total.plus(self._drain_correction_costs())
                 for accel_name, share in execution.by_accelerator.items():
                     self.ledger.log("accelerator", accel_name, share)
@@ -397,12 +407,10 @@ class MealibRuntime:
 
     # -- hardened-execution internals ----------------------------------------
 
-    def _write_descriptor(self, plan: AccPlan, command: int) -> None:
-        """Store the full golden descriptor image with ``command`` in its
+    def _write_descriptor(self, plan: AccPlan, image: bytes) -> None:
+        """Store a full golden descriptor image, START or IDLE in its
         CR (descriptor delivery + doorbell)."""
-        buf = bytearray(plan.descriptor.data)
-        set_command(buf, command)
-        self.space.pa_write(plan.descriptor.base_pa, bytes(buf))
+        self.space.pa_write(plan.descriptor.base_pa, image)
 
     def _drain_correction_costs(self) -> ExecResult:
         """Charge ECC costs accumulated since the last drain to the

@@ -22,8 +22,13 @@ Concrete syntax (produced by the compiler, parsed by the runtime)::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Union
+
+#: Distinct TDL texts the parse memo keeps; past this the least
+#: recently used entry is evicted.
+PARSE_MEMO_ENTRIES = 1024
 
 
 class TdlError(Exception):
@@ -203,8 +208,16 @@ class _Parser:
         return Pass(comps=tuple(comps))
 
 
+@functools.lru_cache(maxsize=PARSE_MEMO_ENTRIES)
 def parse_tdl(text: str) -> TdlProgram:
-    """Parse TDL text into a program tree."""
+    """Parse TDL text into a program tree.
+
+    The tree is a pure function of the text and is immutable (frozen
+    dataclasses over tuples), so parses are memoized process-wide on
+    the text and every caller of one text shares one tree; errors are
+    never memoized. ``parse_tdl.cache_info()`` and
+    ``parse_tdl.cache_clear()`` report on and empty the memo.
+    """
     if not text.strip():
         raise TdlError("empty TDL input")
     return _Parser(text).parse_program()

@@ -28,7 +28,7 @@ per member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.runtime import AccPlan
 from repro.core.tdl import ParamStore
@@ -75,26 +75,56 @@ def call_sizes(layer, op: str, params: object) -> Tuple[int, int]:
             sum(s.total_bytes for s in streams if s.is_write))
 
 
-def coalesce(system, members: Sequence[Tuple[str, object]]) -> AccPlan:
+@dataclass(frozen=True)
+class BatchLowering:
+    """A batch lowered short of its parameter bytes: the TDL text, one
+    PASS per member, and the summed Listing 2 buffer sizes."""
+
+    tdl: str
+    in_size: int
+    out_size: int
+
+
+def lower_batch(layer,
+                members: Sequence[Tuple[str, object]]) -> BatchLowering:
+    """Lower ``members`` — ``(op, params)`` pairs — to TDL and sizes.
+
+    A pure function of the members' values and of the layer's
+    accelerators (their streams read no tile or link health), so a
+    runtime over one layer can memoize it on the member tuple.
+    """
+    if not members:
+        raise ValueError("cannot coalesce an empty batch")
+    lines: List[str] = []
+    in_size = 0
+    out_size = 0
+    for i, (op, params) in enumerate(members):
+        lines.append(f"PASS {{ COMP {op} b{i}.para }}")
+        r, w = call_sizes(layer, op, params)
+        in_size += r
+        out_size += w
+    return BatchLowering("\n".join(lines), in_size, out_size)
+
+
+def coalesce(system, members: Sequence[Tuple[str, object]],
+             lowering: Optional[BatchLowering] = None) -> AccPlan:
     """Lower ``members`` — ``(op, params)`` pairs — into one coalesced
     descriptor, one PASS per member, in member order.
+
+    ``lowering`` is ``lower_batch(system.layer, members)``, computed
+    here when not given. The parameter bytes are packed on every call:
+    they are not a function of the members' values under ``==``
+    (``0.0 == -0.0`` packs two ways).
 
     A single-member "batch" is exactly the solo descriptor for that
     call (same instruction stream, same parameter bytes); the caller
     owns the returned plan and must ``acc_destroy`` it after use.
     """
-    if not members:
-        raise ValueError("cannot coalesce an empty batch")
+    if lowering is None:
+        lowering = lower_batch(system.layer, members)
     store = ParamStore()
-    lines: List[str] = []
-    in_size = 0
-    out_size = 0
-    for i, (op, params) in enumerate(members):
-        name = f"b{i}.para"
-        store.add(name, params.pack())
-        lines.append(f"PASS {{ COMP {op} {name} }}")
-        r, w = call_sizes(system.layer, op, params)
-        in_size += r
-        out_size += w
-    return system.runtime.acc_plan("\n".join(lines), store,
-                                   in_size=in_size, out_size=out_size)
+    for i, (_, params) in enumerate(members):
+        store.add(f"b{i}.para", params.pack())
+    return system.runtime.acc_plan(lowering.tdl, store,
+                                   in_size=lowering.in_size,
+                                   out_size=lowering.out_size)

@@ -44,6 +44,7 @@ both facts).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -54,9 +55,13 @@ from repro.core.runtime import AccPlan, Ledger
 from repro.core.system import MealibSystem
 from repro.eval.workloads import TABLE2
 from repro.metrics import ExecResult
-from repro.serving.batching import BatchPolicy, call_sizes, coalesce
+from repro.serving.batching import BatchPolicy, coalesce, lower_batch
 from repro.serving.qos import TenantConfig
 from repro.serving.traffic import Arrival
+
+#: Distinct batches (by member values) one serving runtime keeps
+#: lowered; past this the least recently used is evicted.
+LOWERING_MEMO_ENTRIES = 1024
 
 
 @dataclass
@@ -144,6 +149,11 @@ class ServingRuntime:
         self._slices: List[Tuple[str, int, int]] = []
         self._base_entries = len(system.ledger.entries)
         self._t_first: Optional[float] = None
+        # lowering a batch is a pure function of its members' values
+        # and the layer, which is fixed for this runtime: memoize it on
+        # the ((op, params), ...) tuple
+        self._lower = functools.lru_cache(maxsize=LOWERING_MEMO_ENTRIES)(
+            functools.partial(lower_batch, system.layer))
 
     # -- admission -----------------------------------------------------------
 
@@ -164,8 +174,9 @@ class ServingRuntime:
             raise KeyError(f"unknown tenant {tenant!r}")
         batchable = False
         if self.batching is not None:
-            r, w = call_sizes(self.system.layer, op, params)
-            batchable = self.batching.batchable(op, r + w)
+            solo = self._lower(((op, params),))
+            batchable = self.batching.batchable(
+                op, solo.in_size + solo.out_size)
         self._seq += 1
         return self._admit(Request(tenant=tenant, arrival=arrival,
                                    seq=self._seq, op=op, params=params,
@@ -246,8 +257,8 @@ class ServingRuntime:
         if unit[0].plan is not None:
             plan = unit[0].plan
         else:
-            plan = coalesce(self.system,
-                            [(r.op, r.params) for r in unit])
+            members = tuple((r.op, r.params) for r in unit)
+            plan = coalesce(self.system, members, self._lower(members))
             owned = plan
         ledger = self.system.ledger
         cache = self.system.schedule_cache
