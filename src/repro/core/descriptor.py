@@ -98,6 +98,14 @@ class EncodedDescriptor:
     def size(self) -> int:
         return len(self.data)
 
+    @functools.cached_property
+    def start_image(self) -> bytes:
+        """The image with START in its command word (what every
+        delivery writes), built once per descriptor."""
+        start = bytearray(self.data)
+        set_command(start, CMD_START)
+        return bytes(start)
+
 
 def _instruction_count(program: TdlProgram,
                        blobs: Tuple[bytes, ...]) -> int:

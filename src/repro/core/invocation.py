@@ -19,6 +19,7 @@ call instead of per descriptor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.host.cache import CacheHierarchy
@@ -41,6 +42,10 @@ DOORBELL_LATENCY = 1e-6
 
 #: Host package power while executing runtime code.
 RUNTIME_HOST_POWER = 25.0
+
+#: Distinct (model, descriptor size, working set, flush) overheads the
+#: ``total`` memo keeps; past this the least recently used is evicted.
+TOTAL_MEMO_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -81,11 +86,15 @@ class InvocationModel:
         time = self.doorbell_latency
         return ExecResult(time=time, energy=time * self.host_power)
 
+    @functools.lru_cache(maxsize=TOTAL_MEMO_ENTRIES, typed=True)
     def total(self, descriptor_bytes: int,
               working_set_bytes: int,
               include_flush: bool = True) -> ExecResult:
         """Full per-execute overhead. ``include_flush=False`` supports
-        the ablation benchmark that isolates the wbinvd share."""
+        the ablation benchmark that isolates the wbinvd share.
+
+        A pure function of the (frozen) model and the arguments that
+        returns a frozen :class:`ExecResult`, so it is memoized."""
         cost = self.descriptor_cost(descriptor_bytes).plus(
             self.doorbell_cost())
         if include_flush:

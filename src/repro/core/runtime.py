@@ -44,10 +44,10 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
 
 from repro.accel.tile import TileFailedError
 from repro.core.config_unit import ConfigurationUnit
-from repro.core.descriptor import (CMD_START, DescriptorError,
+from repro.core.descriptor import (DescriptorError,
                                    DescriptorIntegrityError,
                                    EncodedDescriptor, descriptor_size,
-                                   encode_blobs, param_blobs, set_command)
+                                   encode_blobs, param_blobs)
 from repro.core.invocation import InvocationModel
 from repro.core.tdl import ParamStore, TdlProgram, parse_tdl
 from repro.faults.datapath import DatapathEcc
@@ -146,9 +146,7 @@ class AccPlan:
     idle_image: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        start = bytearray(self.descriptor.data)
-        set_command(start, CMD_START)
-        self.start_image = bytes(start)
+        self.start_image = self.descriptor.start_image
         self.idle_image = self.descriptor.data    # encoded with IDLE
 
 

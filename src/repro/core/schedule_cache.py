@@ -171,8 +171,10 @@ class ScheduleCache:
     def stats_for(self, tenant: str) -> ScheduleCacheStats:
         """The tagged stats of one tenant (created zeroed on first
         use)."""
-        return self.tenant_stats.setdefault(tenant,
-                                            ScheduleCacheStats())
+        stats = self.tenant_stats.get(tenant)
+        if stats is None:
+            stats = self.tenant_stats[tenant] = ScheduleCacheStats()
+        return stats
 
     def _tagged(self) -> Optional[ScheduleCacheStats]:
         if self._tenant is None:

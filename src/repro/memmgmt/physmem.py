@@ -86,9 +86,9 @@ class PhysicalMemory:
         return data
 
     def write(self, addr: int, data: bytes) -> None:
-        backing, off = self._locate(addr, len(data))
-        backing[off:off + len(data)] = np.frombuffer(
-            bytes(data), dtype=np.uint8)
+        n = len(data)
+        backing, off = self._locate(addr, n)
+        backing.data[off:off + n] = bytes(data)
 
     def view(self, addr: int, n: int) -> np.ndarray:
         """Zero-copy uint8 view of ``[addr, addr+n)``. The range must lie

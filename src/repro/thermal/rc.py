@@ -39,7 +39,7 @@ governor and the Arrhenius fault coupling consume; see DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -179,13 +179,20 @@ class ThermalModel:
 
     # -- temperature-dependent terms -----------------------------------------
 
-    def leakage(self, temps: np.ndarray) -> np.ndarray:
-        """Per-vault leakage power at the given temperatures, W."""
+    def leakage(self, temps: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-vault leakage power at the given temperatures, W
+        (written into ``out`` when given)."""
         cfg = self.config
         if cfg.p_leak_ref <= 0.0:
-            return np.zeros_like(temps)
-        return cfg.p_leak_ref * np.exp2(
-            (temps - cfg.ambient) / cfg.leak_doubling)
+            if out is None:
+                return np.zeros_like(temps)
+            out.fill(0.0)
+            return out
+        out = np.subtract(temps, cfg.ambient, out=out)
+        np.divide(out, cfg.leak_doubling, out=out)
+        np.exp2(out, out=out)
+        return np.multiply(cfg.p_leak_ref, out, out=out)
 
     def arrhenius_factor(self, vault: int) -> float:
         """Latent-flip rate multiplier of one vault: doubles every
@@ -231,19 +238,41 @@ class ThermalModel:
         steps = max(1, int(np.ceil(duration / dt)))
         dt = duration / steps
         amb = cfg.ambient
-        temps = self.temps
+        g_lat, g_sink, g_logic = cfg.g_lat, cfg.g_sink, cfg.g_logic
+        g_logic_sink = cfg.g_logic_sink
+        k_vault = dt / cfg.c_vault
+        k_logic = dt / cfg.c_logic
+        adj, degree = self._adj, self._degree
+        # each step updates a private copy in place, through reused
+        # buffers; the element-wise operations and their order are
+        # those of the expression form
+        #   flux = power + leakage + g_sink*(amb - T)
+        #          + g_logic*(t_logic - T) + g_lat*(A@T - degree*T)
+        temps = self.temps.copy()
         t_logic = self.t_logic
+        flux = np.empty_like(temps)
+        term = np.empty_like(temps)
+        leak = np.empty_like(temps)
         for _ in range(steps):
-            lat = cfg.g_lat * (self._adj @ temps - self._degree * temps)
-            flux = (power + self.leakage(temps)
-                    + cfg.g_sink * (amb - temps)
-                    + cfg.g_logic * (t_logic - temps)
-                    + lat)
+            lat = adj @ temps
+            np.multiply(degree, temps, out=term)
+            np.subtract(lat, term, out=lat)
+            np.multiply(g_lat, lat, out=lat)
+            np.add(power, self.leakage(temps, out=leak), out=flux)
+            np.subtract(amb, temps, out=term)
+            np.multiply(g_sink, term, out=term)
+            np.add(flux, term, out=flux)
+            np.subtract(t_logic, temps, out=term)
+            np.multiply(g_logic, term, out=term)
+            np.add(flux, term, out=flux)
+            np.add(flux, lat, out=flux)
+            np.subtract(temps, t_logic, out=term)
             logic_flux = (logic_power
-                          + cfg.g_logic * float(np.sum(temps - t_logic))
-                          + cfg.g_logic_sink * (amb - t_logic))
-            temps = temps + flux * (dt / cfg.c_vault)
-            t_logic = t_logic + logic_flux * (dt / cfg.c_logic)
+                          + g_logic * float(np.add.reduce(term))
+                          + g_logic_sink * (amb - t_logic))
+            np.multiply(flux, k_vault, out=flux)
+            np.add(temps, flux, out=temps)
+            t_logic = t_logic + logic_flux * k_logic
             # the heatsink is an infinite reservoir at ambient: the
             # stack cannot cool below it
             np.maximum(temps, amb, out=temps)

@@ -161,6 +161,54 @@ def test_split_advance_equals_one_advance():
     assert one.elapsed == pytest.approx(many.elapsed)
 
 
+def _reference_advance(model, duration, vault_power, logic_power):
+    """The integrator in plain expression form, one fresh array per
+    operation: the reference the buffered ``advance`` must match."""
+    cfg = model.config
+    power = np.zeros(model.vaults)
+    power[:] = vault_power
+    dt = min(cfg.dt, model._dt_stable)
+    steps = max(1, int(np.ceil(duration / dt)))
+    dt = duration / steps
+    amb = cfg.ambient
+    temps, t_logic = model.temps, model.t_logic
+    for _ in range(steps):
+        lat = cfg.g_lat * (model._adj @ temps - model._degree * temps)
+        leak = (cfg.p_leak_ref
+                * np.exp2((temps - amb) / cfg.leak_doubling)
+                if cfg.p_leak_ref > 0.0 else np.zeros_like(temps))
+        flux = (power + leak + cfg.g_sink * (amb - temps)
+                + cfg.g_logic * (t_logic - temps) + lat)
+        logic_flux = (logic_power
+                      + cfg.g_logic * float(np.sum(temps - t_logic))
+                      + cfg.g_logic_sink * (amb - t_logic))
+        temps = temps + flux * (dt / cfg.c_vault)
+        t_logic = t_logic + logic_flux * (dt / cfg.c_logic)
+        np.maximum(temps, amb, out=temps)
+        t_logic = max(t_logic, amb)
+    return temps, t_logic
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(p_leak_ref=0.0),
+                                       dict(g_lat=0.0, dt=1e-8)])
+def test_advance_matches_the_expression_form_bit_for_bit(overrides):
+    rng = np.random.default_rng(2015)
+    model = make_model(**overrides)
+    for i in range(60):
+        duration = float(rng.uniform(0.0, 5e-6))
+        # heat and cool in turn, so both clamps are exercised
+        power = rng.uniform(0.0, 40.0, 16) * (i % 4 != 3)
+        logic = float(rng.uniform(0.0, 2.0))
+        before = model.temps
+        temps, t_logic = _reference_advance(model, duration, power,
+                                            logic)
+        model.advance(duration, power, logic)
+        assert model.temps.tobytes() == temps.tobytes()
+        assert model.t_logic == t_logic
+        assert model.temps is not before    # callers' arrays untouched
+    assert model.peak_vault_temp > AMBIENT_K + 10.0
+
+
 # -- lateral coupling and peaks ----------------------------------------------
 
 
