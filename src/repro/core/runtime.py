@@ -59,6 +59,8 @@ from repro.memmgmt.allocator import ContiguousAllocator
 from repro.metrics import ExecResult, ZERO
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.thermal.governor import PowerGovernor
     from repro.thermal.rc import ThermalModel
 
@@ -233,7 +235,8 @@ class MealibRuntime:
                  scrubber: Optional[PatrolScrubber] = None,
                  thermal: Optional["ThermalModel"] = None,
                  governor: Optional["PowerGovernor"] = None,
-                 vault_of: Optional[Callable[[int], int]] = None):
+                 vaults_of: Optional[Callable[[np.ndarray], np.ndarray]]
+                 = None):
         self.space = space
         self.cu = config_unit
         self.invocation = (invocation if invocation is not None
@@ -244,12 +247,12 @@ class MealibRuntime:
         self.scrubber = scrubber
         # thermal loop (repro.thermal): the RC model is advanced with
         # each step's attributed heat and the governor re-polled after;
-        # vault_of maps a physical byte address to its vault for the
+        # vaults_of maps physical byte addresses to their vaults for the
         # Arrhenius-thinned latent deposits. All None ⇒ byte-identical
         # to a thermal-free runtime.
         self.thermal = thermal
         self.governor = governor
-        self.vault_of = vault_of
+        self.vaults_of = vaults_of
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.counters = ResilienceCounters()
         self.ledger = Ledger()
@@ -331,7 +334,7 @@ class MealibRuntime:
                     self.datapath.phys.regions(),
                     factors=self.thermal.arrhenius_factors(),
                     cap=self.thermal.config.arrhenius_cap,
-                    vault_of=self.vault_of)
+                    vaults_of=self.vaults_of)
             else:
                 self.faults.deposit_latent_flips(
                     self.datapath.phys.regions())

@@ -142,8 +142,8 @@ class MealibSystem:
             faults=faults, policy=policy, datapath=self.datapath,
             scrubber=self.scrubber, thermal=self.thermal,
             governor=self.governor,
-            vault_of=(self.device.mapping.unit_of
-                      if self.thermal is not None else None))
+            vaults_of=(self.device.mapping.unit_of_batch
+                       if self.thermal is not None else None))
         if self.governor is not None:
             # engage forced (sub-ambient) envelopes before the first
             # execute — a vault born above critical goes offline now

@@ -157,7 +157,7 @@ class FaultInjector:
         #: 8-byte-aligned word address -> 64-bit mask of flipped cells
         self._latent: Dict[int, int] = {}
         #: vault index -> accepted latent flips (thermal-coupled runs;
-        #: populated only when deposits are given a ``vault_of`` mapping)
+        #: populated only when deposits are given a ``vaults_of`` mapping)
         self.latent_deposits_by_vault: Dict[int, int] = {}
         #: Fired whenever *new* latent flips land (deposits or planted
         #: test flips) — the schedule cache's fault invalidation hook.
@@ -261,7 +261,8 @@ class FaultInjector:
             self, regions: Sequence[Tuple[int, int]],
             factors: Optional[Sequence[float]] = None,
             cap: float = 1.0,
-            vault_of: Optional[Callable[[int], int]] = None) -> int:
+            vaults_of: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    ) -> int:
         """One accelerated step's worth of new latent cell flips.
 
         Draws ``Binomial(total backed bits, latent_flip_rate)`` upset
@@ -271,10 +272,13 @@ class FaultInjector:
         the number of flips deposited. Consumes the dedicated latent
         PRNG identically regardless of scrub or read activity.
 
-        Thermal coupling (``factors`` given) uses *thinning*: candidates
-        are drawn at the capped rate ``latent_flip_rate * cap``, and a
+        ``vaults_of`` maps an int64 array of physical byte addresses to
+        their vaults (a batch form of
+        :meth:`~repro.memsys.address.AddressMapping.unit_of`). Thermal
+        coupling (``factors`` given) uses *thinning*: candidates are
+        drawn at the capped rate ``latent_flip_rate * cap``, and a
         candidate landing on byte ``b`` is accepted iff its paired
-        uniform ``u`` satisfies ``u * cap < factors[vault_of(b)]`` — so
+        uniform ``u`` satisfies ``u * cap < factors[vault of b]`` — so
         a vault with Arrhenius factor ``f`` sees flips at exactly
         ``rate * f`` while the seeded candidate stream stays identical
         across envelope and throttle policies. Hotter vaults accept a
@@ -307,30 +311,36 @@ class FaultInjector:
             positions = self._latent_rng.choice(total_bits, size=k,
                                                 replace=False)
             uniforms = self._latent_rng.random(k)
+        # the i-th sorted position pairs with the i-th uniform; a
+        # position lands in the first region whose cumulative bit end
+        # lies above it, which skips zero-size regions
+        positions = np.sort(positions)
+        starts = np.array([start for start, _ in regions], dtype=np.int64)
+        region_bits = np.array([size for _, size in regions],
+                               dtype=np.int64) * 8
+        ends = np.cumsum(region_bits)
+        region = np.searchsorted(ends, positions, side="right")
+        rest = positions - (ends - region_bits)[region]
+        byte = starts[region] + rest // 8
+        vaults = vaults_of(byte) if vaults_of is not None else None
+        if uniforms is not None:
+            factor = (np.asarray(factors, dtype=np.float64)[vaults]
+                      if vaults is not None else 1.0)
+            keep = ~(uniforms * cap >= factor)       # the rest thin away
+            byte, rest = byte[keep], rest[keep]
+            if vaults is not None:
+                vaults = vaults[keep]
         word_mask = ECC_WORD_BITS // 8 - 1
-        deposited = 0
-        for i, pos in enumerate(sorted(int(p) for p in positions)):
-            rest = pos
-            for start, size in regions:
-                if rest >= size * 8:
-                    rest -= size * 8
-                    continue
-                byte = start + rest // 8
-                vault = vault_of(byte) if vault_of is not None else None
-                if uniforms is not None:
-                    factor = (factors[vault] if vault is not None
-                              else 1.0)
-                    if uniforms[i] * cap >= factor:
-                        break                       # thinned away
-                word = byte & ~word_mask
-                bit = (byte - word) * 8 + rest % 8
-                self._latent[word] = self._latent.get(word, 0) \
-                    | (1 << bit)
-                deposited += 1
-                if vault is not None:
-                    self.latent_deposits_by_vault[vault] = (
-                        self.latent_deposits_by_vault.get(vault, 0) + 1)
-                break
+        words = byte & ~word_mask
+        bits = (byte - words) * 8 + rest % 8
+        latent = self._latent
+        for word, bit in zip(words.tolist(), bits.tolist()):
+            latent[word] = latent.get(word, 0) | (1 << bit)
+        if vaults is not None:
+            by_vault = self.latent_deposits_by_vault
+            for vault in vaults.tolist():
+                by_vault[vault] = by_vault.get(vault, 0) + 1
+        deposited = len(words)
         self.stats.latent_flips_deposited += deposited
         if deposited and self.on_latent_change is not None:
             self.on_latent_change()

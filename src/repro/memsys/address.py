@@ -127,3 +127,8 @@ class AddressMapping:
         """Return only the unit (vault/channel) index — the hot path."""
         block = addr // self.interleave_bytes
         return (block % self.units) ^ _fold(block // self.units, self.units)
+
+    def unit_of_batch(self, addrs: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`unit_of`: the units of
+        :meth:`decompose_batch`."""
+        return self.decompose_batch(addrs)[0]

@@ -38,13 +38,18 @@ governor and the Arrhenius fault coupling consume; see DESIGN.md.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
 #: Default ambient / case temperature, kelvin (45 C).
 AMBIENT_K = 318.0
+
+#: ``advance`` tests for an exact fixed point on every step whose index
+#: has these bits clear (one step in 32).
+_PROBE_MASK = 31
 
 
 @dataclass(frozen=True)
@@ -176,23 +181,23 @@ class ThermalModel:
         g_log = config.g_logic_sink + vaults * config.g_logic
         self._dt_stable = 0.4 * min(config.c_vault / g_vault,
                                     config.c_logic / max(g_log, 1e-30))
+        # the scalar knobs of the vault update as same-shape arrays
+        self._operands = tuple(
+            np.full(vaults, value, dtype=np.float64)
+            for value in (amb, config.g_lat, config.g_sink,
+                          config.g_logic, config.leak_doubling,
+                          config.p_leak_ref))
 
     # -- temperature-dependent terms -----------------------------------------
 
-    def leakage(self, temps: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Per-vault leakage power at the given temperatures, W
-        (written into ``out`` when given)."""
+    def leakage(self, temps: np.ndarray) -> np.ndarray:
+        """Per-vault leakage power at the given temperatures, W (the
+        term :meth:`advance` adds at every step)."""
         cfg = self.config
         if cfg.p_leak_ref <= 0.0:
-            if out is None:
-                return np.zeros_like(temps)
-            out.fill(0.0)
-            return out
-        out = np.subtract(temps, cfg.ambient, out=out)
-        np.divide(out, cfg.leak_doubling, out=out)
-        np.exp2(out, out=out)
-        return np.multiply(cfg.p_leak_ref, out, out=out)
+            return np.zeros_like(temps)
+        return cfg.p_leak_ref * np.exp2((temps - cfg.ambient)
+                                        / cfg.leak_doubling)
 
     def arrhenius_factor(self, vault: int) -> float:
         """Latent-flip rate multiplier of one vault: doubles every
@@ -218,13 +223,14 @@ class ThermalModel:
         node, in watts, over the whole interval (the step's attributed
         joules divided by its wall time); ``logic_power`` likewise for
         the logic-layer node. Leakage is added internally from the
-        instantaneous temperatures.
+        instantaneous temperatures. Every input must be finite: a NaN
+        or infinite duration or power raises :class:`ValueError`
+        naming it.
         """
+        if not math.isfinite(duration):
+            raise ValueError(f"duration must be finite, got {duration}")
         if duration < 0.0:
             raise ValueError("duration must be non-negative")
-        if duration == 0.0:
-            return
-        cfg = self.config
         power = np.zeros(self.vaults, dtype=np.float64)
         if len(vault_power):
             if len(vault_power) != self.vaults:
@@ -232,51 +238,87 @@ class ThermalModel:
                     f"expected {self.vaults} vault powers, got "
                     f"{len(vault_power)}")
             power[:] = vault_power
+        if not np.all(np.isfinite(power)):
+            raise ValueError(f"vault_power must be finite, got {power}")
+        if not math.isfinite(logic_power):
+            raise ValueError(
+                f"logic_power must be finite, got {logic_power}")
         if np.any(power < 0.0) or logic_power < 0.0:
             raise ValueError("power inputs must be non-negative")
+        if duration == 0.0:
+            return
+        cfg = self.config
         dt = min(cfg.dt, self._dt_stable)
         steps = max(1, int(np.ceil(duration / dt)))
         dt = duration / steps
         amb = cfg.ambient
-        g_lat, g_sink, g_logic = cfg.g_lat, cfg.g_sink, cfg.g_logic
-        g_logic_sink = cfg.g_logic_sink
-        k_vault = dt / cfg.c_vault
+        g_logic, g_logic_sink = cfg.g_logic, cfg.g_logic_sink
         k_logic = dt / cfg.c_logic
-        adj, degree = self._adj, self._degree
-        # each step updates a private copy in place, through reused
-        # buffers; the element-wise operations and their order are
-        # those of the expression form
+        # Every element gets the operations, operands and order of the
+        # expression form
         #   flux = power + leakage + g_sink*(amb - T)
         #          + g_logic*(t_logic - T) + g_lat*(A@T - degree*T)
+        # (so the trajectory is bit-identical to it); only the call
+        # overhead is cut. Scalars enter as same-shape arrays (the
+        # cheapest ufunc operand), results land in reused buffers, and
+        # adj.dot is the same dgemv call as adj @ temps.
+        n = self.vaults
+        amb_a, g_lat_a, g_sink_a, g_logic_a, doubling_a, leak_ref_a = \
+            self._operands
+        k_vault_a = np.full(n, dt / cfg.c_vault)
+        leaky = cfg.p_leak_ref > 0.0
         temps = self.temps.copy()
         t_logic = self.t_logic
-        flux = np.empty_like(temps)
-        term = np.empty_like(temps)
-        leak = np.empty_like(temps)
-        for _ in range(steps):
-            lat = adj @ temps
-            np.multiply(degree, temps, out=term)
-            np.subtract(lat, term, out=lat)
-            np.multiply(g_lat, lat, out=lat)
-            np.add(power, self.leakage(temps, out=leak), out=flux)
-            np.subtract(amb, temps, out=term)
-            np.multiply(g_sink, term, out=term)
-            np.add(flux, term, out=flux)
-            np.subtract(t_logic, temps, out=term)
-            np.multiply(g_logic, term, out=term)
-            np.add(flux, term, out=flux)
-            np.add(flux, lat, out=flux)
-            np.subtract(temps, t_logic, out=term)
+        lat = np.empty(n)
+        term = np.empty(n)
+        diff = np.empty(n)
+        leak = np.zeros(n)
+        flux = np.empty(n)
+        add, subtract, multiply = np.add, np.subtract, np.multiply
+        divide, exp2, maximum = np.divide, np.exp2, np.maximum
+        add_reduce, dot = np.add.reduce, self._adj.dot
+        degree = self._degree
+        snap, snap_logic = b"", 0.0
+        for i in range(steps):
+            probe = not i & _PROBE_MASK
+            if probe:
+                snap, snap_logic = temps.tobytes(), t_logic
+            dot(temps, out=lat)
+            multiply(degree, temps, out=term)
+            subtract(lat, term, out=lat)
+            multiply(g_lat_a, lat, out=lat)
+            if leaky:
+                subtract(temps, amb_a, out=leak)
+                divide(leak, doubling_a, out=leak)
+                exp2(leak, out=leak)
+                multiply(leak_ref_a, leak, out=leak)
+            add(power, leak, out=flux)
+            subtract(amb_a, temps, out=term)
+            multiply(g_sink_a, term, out=term)
+            add(flux, term, out=flux)
+            # one difference serves both ends of the vault-logic path:
+            # sum(T - t_logic) == -sum(t_logic - T) exactly, since IEEE
+            # rounding is sign-symmetric, and a + g*(-s) == a - g*s
+            subtract(t_logic, temps, out=diff)
+            multiply(g_logic_a, diff, out=term)
+            add(flux, term, out=flux)
+            add(flux, lat, out=flux)
             logic_flux = (logic_power
-                          + g_logic * float(np.add.reduce(term))
+                          - g_logic * float(add_reduce(diff))
                           + g_logic_sink * (amb - t_logic))
-            np.multiply(flux, k_vault, out=flux)
-            np.add(temps, flux, out=temps)
+            multiply(flux, k_vault_a, out=flux)
+            add(temps, flux, out=temps)
             t_logic = t_logic + logic_flux * k_logic
             # the heatsink is an infinite reservoir at ambient: the
             # stack cannot cool below it
-            np.maximum(temps, amb, out=temps)
-            t_logic = max(t_logic, amb)
+            maximum(temps, amb_a, out=temps)
+            if amb > t_logic:
+                t_logic = amb
+            # exact fixed point: a step that maps the state onto itself
+            # bit for bit maps it onto itself forever after
+            if (probe and t_logic == snap_logic
+                    and temps.tobytes() == snap):
+                break
         self.temps = temps
         self.t_logic = t_logic
         self.elapsed += duration

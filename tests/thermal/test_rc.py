@@ -161,31 +161,43 @@ def test_split_advance_equals_one_advance():
     assert one.elapsed == pytest.approx(many.elapsed)
 
 
-def _reference_advance(model, duration, vault_power, logic_power):
-    """The integrator in plain expression form, one fresh array per
-    operation: the reference the buffered ``advance`` must match."""
+def _reference_step(model, temps, t_logic, power, logic_power, dt):
+    """One explicit-Euler step in plain expression form, one fresh
+    array per operation."""
     cfg = model.config
+    amb = cfg.ambient
+    lat = cfg.g_lat * (model._adj @ temps - model._degree * temps)
+    leak = (cfg.p_leak_ref
+            * np.exp2((temps - amb) / cfg.leak_doubling)
+            if cfg.p_leak_ref > 0.0 else np.zeros_like(temps))
+    flux = (power + leak + cfg.g_sink * (amb - temps)
+            + cfg.g_logic * (t_logic - temps) + lat)
+    logic_flux = (logic_power
+                  + cfg.g_logic * float(np.sum(temps - t_logic))
+                  + cfg.g_logic_sink * (amb - t_logic))
+    temps = temps + flux * (dt / cfg.c_vault)
+    t_logic = t_logic + logic_flux * (dt / cfg.c_logic)
+    np.maximum(temps, amb, out=temps)
+    return temps, max(t_logic, amb)
+
+
+def _substep(model, duration):
+    """The internal step count and length ``advance`` uses."""
+    dt = min(model.config.dt, model._dt_stable)
+    steps = max(1, int(np.ceil(duration / dt)))
+    return steps, duration / steps
+
+
+def _reference_advance(model, duration, vault_power, logic_power):
+    """The integrator in plain expression form, every step taken: the
+    reference the buffered ``advance`` must match."""
     power = np.zeros(model.vaults)
     power[:] = vault_power
-    dt = min(cfg.dt, model._dt_stable)
-    steps = max(1, int(np.ceil(duration / dt)))
-    dt = duration / steps
-    amb = cfg.ambient
+    steps, dt = _substep(model, duration)
     temps, t_logic = model.temps, model.t_logic
     for _ in range(steps):
-        lat = cfg.g_lat * (model._adj @ temps - model._degree * temps)
-        leak = (cfg.p_leak_ref
-                * np.exp2((temps - amb) / cfg.leak_doubling)
-                if cfg.p_leak_ref > 0.0 else np.zeros_like(temps))
-        flux = (power + leak + cfg.g_sink * (amb - temps)
-                + cfg.g_logic * (t_logic - temps) + lat)
-        logic_flux = (logic_power
-                      + cfg.g_logic * float(np.sum(temps - t_logic))
-                      + cfg.g_logic_sink * (amb - t_logic))
-        temps = temps + flux * (dt / cfg.c_vault)
-        t_logic = t_logic + logic_flux * (dt / cfg.c_logic)
-        np.maximum(temps, amb, out=temps)
-        t_logic = max(t_logic, amb)
+        temps, t_logic = _reference_step(model, temps, t_logic, power,
+                                         logic_power, dt)
     return temps, t_logic
 
 
@@ -207,6 +219,110 @@ def test_advance_matches_the_expression_form_bit_for_bit(overrides):
         assert model.t_logic == t_logic
         assert model.temps is not before    # callers' arrays untouched
     assert model.peak_vault_temp > AMBIENT_K + 10.0
+
+
+LONG_RUN_OVERRIDES = [{}, dict(p_leak_ref=0.0), dict(g_lat=0.0)]
+
+
+@pytest.mark.parametrize("overrides", LONG_RUN_OVERRIDES)
+@pytest.mark.parametrize("steps", [600, 1700, 3000])
+def test_long_advances_match_the_expression_form(overrides, steps):
+    # one advance of hundreds to thousands of internal steps, under
+    # constant power and then through an idle cool-down: long enough
+    # for the fixed-point probe to run many times
+    model = make_model(**overrides)
+    nominal = min(model.config.dt, model._dt_stable)
+    power = np.linspace(0.2, 3.0, model.vaults)
+    for duration, vault_power, logic in (
+            ((steps - 0.25) * nominal, power, 0.7),
+            ((steps - 0.75) * nominal, (), 0.0)):
+        temps, t_logic = _reference_advance(
+            model, duration, vault_power if len(vault_power) else 0.0,
+            logic)
+        model.advance(duration, vault_power, logic)
+        assert _substep(model, duration)[0] == steps
+        assert model.temps.tobytes() == temps.tobytes()
+        assert model.t_logic == t_logic
+
+
+def _fixed_point(model, power, logic_power, dt, limit=20_000):
+    """Iterate the reference step from the model's state until one step
+    leaves the state unchanged; return that state."""
+    temps, t_logic = model.temps, model.t_logic
+    for _ in range(limit):
+        nxt, nxt_logic = _reference_step(model, temps, t_logic, power,
+                                         logic_power, dt)
+        if nxt.tobytes() == temps.tobytes() and nxt_logic == t_logic:
+            return temps, t_logic
+        temps, t_logic = nxt, nxt_logic
+    raise AssertionError("the reference reached no fixed point")
+
+
+@pytest.mark.parametrize("overrides", LONG_RUN_OVERRIDES)
+def test_fixed_point_exit_returns_the_exact_fixed_point(overrides):
+    # advance(1.0) is ~5M nominal steps: it finishes in milliseconds
+    # only because the exact fixed-point exit fires, and it must land
+    # on the reference's fixed point bit for bit
+    model = make_model(**overrides)
+    power = np.linspace(0.5, 2.0, model.vaults)
+    steps, dt = _substep(model, 1.0)
+    assert steps > 4_000_000
+    temps, t_logic = _fixed_point(model, power, 0.5, dt)
+    model.advance(1.0, power, 0.5)
+    assert model.temps.tobytes() == temps.tobytes()
+    assert model.t_logic == t_logic
+    assert model.elapsed == 1.0
+
+
+def test_peaks_after_an_early_exit():
+    model = make_model(p_leak_ref=0.0)
+    power = np.linspace(0.5, 2.0, model.vaults)
+    model.advance(1.0, power, 0.5)         # heats to a fixed point, exits
+    hot, hot_logic = model.temps.copy(), model.t_logic
+    assert np.array_equal(model.peak, hot)
+    assert model.peak_logic == hot_logic
+    cold, cold_logic = _fixed_point(model, np.zeros(model.vaults), 0.0,
+                                    _substep(model, 1.0)[1])
+    model.advance(1.0)                     # cools to a fixed point, exits
+    assert model.temps.tobytes() == cold.tobytes()
+    assert model.t_logic == cold_logic
+    assert model.max_temp < AMBIENT_K + 1e-9 < float(hot.min())
+    assert np.array_equal(model.peak, hot)  # the peaks are remembered
+    assert model.peak_logic == hot_logic
+    assert model.peak_vault_temp == float(hot.max())
+    assert model.elapsed == 2.0
+
+
+def test_neighbour_sum_keeps_the_matmul_summation_order():
+    # adj.dot and adj @ temps are the same dgemv call; on inputs whose
+    # sum depends on the order of its terms they must agree bit for bit
+    model = make_model()
+    rng = np.random.default_rng(5)
+    out = np.empty(model.vaults)
+    for _ in range(500):
+        temps = rng.uniform(1.0, 2.0, model.vaults) * 2.0 ** rng.integers(
+            -30, 30, model.vaults)
+        model._adj.dot(temps, out=out)
+        assert out.tobytes() == (model._adj @ temps).tobytes()
+
+
+@pytest.mark.parametrize("bad, name", [
+    (dict(duration=float("nan")), "duration"),
+    (dict(duration=float("inf")), "duration"),
+    (dict(vault_power=[float("nan")] + [1.0] * 15), "vault_power"),
+    (dict(vault_power=[float("inf")] * 16), "vault_power"),
+    (dict(logic_power=float("nan")), "logic_power"),
+    (dict(logic_power=float("inf")), "logic_power"),
+])
+def test_non_finite_inputs_raise_a_typed_error(bad, name):
+    model = make_model()
+    args = dict(duration=1e-6, vault_power=[1.0] * 16, logic_power=0.5)
+    args.update(bad)
+    with pytest.raises(ValueError, match=name):
+        model.advance(**args)
+    # nothing moved
+    assert np.all(model.temps == AMBIENT_K)
+    assert model.elapsed == 0.0
 
 
 # -- lateral coupling and peaks ----------------------------------------------
